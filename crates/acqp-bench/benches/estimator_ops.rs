@@ -10,13 +10,16 @@
 //!   (`truth_by_value`), independent of the number of candidate cuts;
 //! * context refinement (the §5 index narrowing) is linear in the
 //!   parent's support.
+//!
+//! Each line is the median of 20 timed samples
+//! (`timing::time_median`).
 
-use criterion::{BenchmarkId, Criterion};
-use std::time::Duration;
+mod timing;
 
 use acqp_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use timing::time_median;
 
 fn dataset(rows: usize, seed: u64) -> (Schema, Dataset, Query) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,41 +41,20 @@ fn dataset(rows: usize, seed: u64) -> (Schema, Dataset, Query) {
 }
 
 fn main() {
-    let mut c = Criterion::default()
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(700))
-        .sample_size(20)
-        .configure_from_args();
-
+    const SAMPLES: usize = 20;
     for rows in [5_000usize, 20_000, 80_000] {
         let (schema, data, query) = dataset(rows, 9);
         let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
         let root = est.root();
-
-        let mut g = c.benchmark_group("counting_hist");
-        g.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter(|| est.hist(&root, 0))
+        time_median(&format!("counting_hist/{rows}"), SAMPLES, || est.hist(&root, 0));
+        time_median(&format!("counting_truth_table/{rows}"), SAMPLES, || {
+            est.truth_table(&root, &query)
         });
-        g.finish();
-
-        let mut g = c.benchmark_group("counting_truth_table");
-        g.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter(|| est.truth_table(&root, &query))
+        time_median(&format!("counting_truth_by_value/{rows}"), SAMPLES, || {
+            est.truth_by_value(&root, 7, &query)
         });
-        g.finish();
-
-        let mut g = c.benchmark_group("counting_truth_by_value");
-        g.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter(|| est.truth_by_value(&root, 7, &query))
+        time_median(&format!("counting_refine/{rows}"), SAMPLES, || {
+            est.refine(&root, 7, Range::new(0, 15))
         });
-        g.finish();
-
-        let mut g = c.benchmark_group("counting_refine");
-        g.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-            b.iter(|| est.refine(&root, 7, Range::new(0, 15)))
-        });
-        g.finish();
     }
-
-    c.final_summary();
 }

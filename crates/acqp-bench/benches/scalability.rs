@@ -9,16 +9,18 @@
 //! * exhaustive — linear in |D|, polynomial in domain size, exponential
 //!   in attributes with the domain size as base.
 //!
-//! Criterion timings; run `cargo bench -p acqp-bench --bench scalability`.
+//! Each line is the median of 10 timed samples
+//! (`timing::time_median`); run
+//! `cargo bench -p acqp-bench --bench scalability`.
 
-use criterion::{BenchmarkId, Criterion};
-use std::time::Duration;
+mod timing;
 
 use acqp_core::prelude::*;
 use acqp_data::synthetic::{self, SyntheticConfig};
 use acqp_data::workload::synthetic_query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use timing::time_median;
 
 /// A correlated dataset with `n` attributes of domain `k` and `rows`
 /// tuples; attribute 0 is cheap, the rest expensive.
@@ -52,121 +54,79 @@ fn mid_query(schema: &Schema, preds: usize) -> Query {
         .unwrap()
 }
 
-fn main() {
-    let mut c = Criterion::default()
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(800))
-        .sample_size(10)
-        .configure_from_args();
+/// Median time to build the root estimator and plan with `plan`,
+/// printed as `group/param`.
+fn time_plan(
+    group: &str,
+    param: impl std::fmt::Display,
+    schema: &Schema,
+    data: &Dataset,
+    plan: impl Fn(&CountingEstimator) -> Result<Plan>,
+) {
+    time_median(&format!("{group}/{param}"), SAMPLES, || {
+        plan(&CountingEstimator::with_ranges(data, Ranges::root(schema))).unwrap()
+    });
+}
 
+const SAMPLES: usize = 10;
+
+fn main() {
     // --- Heuristic vs dataset size (expect linear) ---
-    {
-        let mut group = c.benchmark_group("heuristic_vs_rows");
-        for rows in [2_000usize, 4_000, 8_000, 16_000] {
-            let (schema, data) = correlated(6, 16, rows, 1);
-            let query = mid_query(&schema, 3);
-            group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
-                b.iter(|| {
-                    let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
-                    GreedyPlanner::new(5).plan(&schema, &query, &est).unwrap()
-                })
-            });
-        }
-        group.finish();
+    for rows in [2_000usize, 4_000, 8_000, 16_000] {
+        let (schema, data) = correlated(6, 16, rows, 1);
+        let query = mid_query(&schema, 3);
+        time_plan("heuristic_vs_rows", rows, &schema, &data, |est| {
+            GreedyPlanner::new(5).plan(&schema, &query, est)
+        });
     }
 
     // --- Heuristic vs domain size (expect ~linear) ---
-    {
-        let mut group = c.benchmark_group("heuristic_vs_domain");
-        for k in [8u16, 16, 32, 64] {
-            let (schema, data) = correlated(6, k, 6_000, 2);
-            let query = mid_query(&schema, 3);
-            group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-                b.iter(|| {
-                    let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
-                    GreedyPlanner::new(5).plan(&schema, &query, &est).unwrap()
-                })
-            });
-        }
-        group.finish();
+    for k in [8u16, 16, 32, 64] {
+        let (schema, data) = correlated(6, k, 6_000, 2);
+        let query = mid_query(&schema, 3);
+        time_plan("heuristic_vs_domain", k, &schema, &data, |est| {
+            GreedyPlanner::new(5).plan(&schema, &query, est)
+        });
     }
 
     // --- Heuristic (OptSeq base) vs number of predicates (expect 2^m) ---
-    {
-        let mut group = c.benchmark_group("heuristic_optseq_vs_preds");
-        for m in [4usize, 6, 8, 10, 12] {
-            let (schema, data) = correlated(m + 1, 8, 4_000, 3);
-            let query = mid_query(&schema, m);
-            group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-                b.iter(|| {
-                    let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
-                    GreedyPlanner::new(3)
-                        .with_base(SeqAlgorithm::Optimal)
-                        .plan(&schema, &query, &est)
-                        .unwrap()
-                })
-            });
-        }
-        group.finish();
+    for m in [4usize, 6, 8, 10, 12] {
+        let (schema, data) = correlated(m + 1, 8, 4_000, 3);
+        let query = mid_query(&schema, m);
+        let planner = GreedyPlanner::new(3).with_base(SeqAlgorithm::Optimal);
+        time_plan("heuristic_optseq_vs_preds", m, &schema, &data, |est| {
+            planner.plan(&schema, &query, est)
+        });
     }
 
     // --- Heuristic (GreedySeq base) vs number of predicates (polynomial) ---
-    {
-        let mut group = c.benchmark_group("heuristic_greedyseq_vs_preds");
-        for n in [7usize, 14, 27, 40] {
-            let cfg = SyntheticConfig::new(n, 3, 0.5).with_rows(4_000);
-            let g = synthetic::generate(&cfg);
-            let query = synthetic_query(&cfg, &g.schema);
-            group.bench_with_input(BenchmarkId::from_parameter(query.len()), &n, |b, _| {
-                b.iter(|| {
-                    let est = CountingEstimator::with_ranges(&g.data, Ranges::root(&g.schema));
-                    GreedyPlanner::new(3)
-                        .with_base(SeqAlgorithm::Greedy)
-                        .plan(&g.schema, &query, &est)
-                        .unwrap()
-                })
-            });
-        }
-        group.finish();
+    for n in [7usize, 14, 27, 40] {
+        let cfg = SyntheticConfig::new(n, 3, 0.5).with_rows(4_000);
+        let g = synthetic::generate(&cfg);
+        let query = synthetic_query(&cfg, &g.schema);
+        let planner = GreedyPlanner::new(3).with_base(SeqAlgorithm::Greedy);
+        time_plan("heuristic_greedyseq_vs_preds", query.len(), &g.schema, &g.data, |est| {
+            planner.plan(&g.schema, &query, est)
+        });
     }
 
     // --- Exhaustive vs domain size (expect high-degree polynomial) ---
-    {
-        let mut group = c.benchmark_group("exhaustive_vs_domain");
-        for k in [4u16, 6, 8] {
-            let (schema, data) = correlated(3, k, 2_000, 4);
-            let query = mid_query(&schema, 2);
-            group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-                b.iter(|| {
-                    let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
-                    ExhaustivePlanner::new()
-                        .max_subproblems(5_000_000)
-                        .plan(&schema, &query, &est)
-                        .unwrap()
-                })
-            });
-        }
-        group.finish();
+    for k in [4u16, 6, 8] {
+        let (schema, data) = correlated(3, k, 2_000, 4);
+        let query = mid_query(&schema, 2);
+        let planner = ExhaustivePlanner::new().max_subproblems(5_000_000);
+        time_plan("exhaustive_vs_domain", k, &schema, &data, |est| {
+            planner.plan(&schema, &query, est)
+        });
     }
 
     // --- Exhaustive vs number of attributes (expect exponential) ---
-    {
-        let mut group = c.benchmark_group("exhaustive_vs_attrs");
-        for n in [2usize, 3, 4] {
-            let (schema, data) = correlated(n, 6, 2_000, 5);
-            let query = mid_query(&schema, n - 1);
-            group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-                b.iter(|| {
-                    let est = CountingEstimator::with_ranges(&data, Ranges::root(&schema));
-                    ExhaustivePlanner::new()
-                        .max_subproblems(5_000_000)
-                        .plan(&schema, &query, &est)
-                        .unwrap()
-                })
-            });
-        }
-        group.finish();
+    for n in [2usize, 3, 4] {
+        let (schema, data) = correlated(n, 6, 2_000, 5);
+        let query = mid_query(&schema, n - 1);
+        let planner = ExhaustivePlanner::new().max_subproblems(5_000_000);
+        time_plan("exhaustive_vs_attrs", n, &schema, &data, |est| {
+            planner.plan(&schema, &query, est)
+        });
     }
-
-    c.final_summary();
 }

@@ -1,4 +1,4 @@
-//! Fault-tolerant serving gates (`DESIGN.md` §14.5): the robust
+//! Fault-tolerant serving gates (`DESIGN.md` §14.5): the
 //! service engine under overload, drift-under-loss, and crashes.
 //!
 //! Three scenarios, all deterministic under fixed seeds:
@@ -173,7 +173,7 @@ fn drift_loss_point(loss: f64, adaptive: bool) -> (f64, f64, usize, u64) {
     )
     .expect("drift-loss service run");
     assert!(rep.all_correct(), "verdicts diverged at loss {loss} (adaptive {adaptive})");
-    let rob = rep.robustness.as_ref().expect("fault model forces the robust path");
+    let rob = rep.robustness.as_ref().expect("the service reports robustness");
     (rep.network.sensing_uj, rep.network.total_uj(), rob.delivered_results, rob.readmissions)
 }
 
@@ -233,11 +233,14 @@ fn overload_scenario(fields: &mut Vec<(String, f64)>) {
             EPOCHS,
             ExecMode::Scalar,
             ServeConfig {
-                policy: ServicePolicy {
-                    epoch_cost_budget: Some(130.0),
-                    max_queue_epochs: 6,
-                    fair_share: 1,
-                    ..ServicePolicy::default()
+                options: ServiceOptions {
+                    policy: ServicePolicy {
+                        epoch_cost_budget: Some(130.0),
+                        max_queue_epochs: 6,
+                        fair_share: 1,
+                        ..ServicePolicy::default()
+                    },
+                    ..ServiceOptions::default()
                 },
                 ..ServeConfig::default()
             },
@@ -250,7 +253,7 @@ fn overload_scenario(fields: &mut Vec<(String, f64)>) {
 
     let scheduled = schedule.len();
     let shed_frac = rep.shed as f64 / scheduled as f64;
-    let rob = rep.service.robustness.as_ref().expect("budget forces the robust path");
+    let rob = rep.service.robustness.as_ref().expect("the service reports robustness");
     assert!(rep.shed > 0, "the overload scenario must actually shed");
     assert!(
         shed_frac <= 0.5,
@@ -313,13 +316,16 @@ fn crash_scenario(fields: &mut Vec<(String, f64)>) {
         EPOCHS,
         ExecMode::Scalar,
         ServeConfig {
-            crash: CrashConfig {
-                checkpoint_dir: Some(dir.clone()),
-                checkpoint_every: 8,
-                // Off the checkpoint cadence, so recovery must replay a
-                // WAL tail on top of the snapshot.
-                crash_epochs: vec![43],
-                crash_rate: 0.0,
+            options: ServiceOptions {
+                crash: CrashConfig {
+                    checkpoint_dir: Some(dir.clone()),
+                    checkpoint_every: 8,
+                    // Off the checkpoint cadence, so recovery must
+                    // replay a WAL tail on top of the snapshot.
+                    crash_epochs: vec![43],
+                    crash_rate: 0.0,
+                },
+                ..ServiceOptions::default()
             },
             ..ServeConfig::default()
         },
@@ -328,7 +334,7 @@ fn crash_scenario(fields: &mut Vec<(String, f64)>) {
     .expect("crashy service run");
     std::fs::remove_dir_all(&dir).ok();
 
-    let rob = rep.service.robustness.as_ref().expect("crash config forces the robust path");
+    let rob = rep.service.robustness.as_ref().expect("the service reports robustness");
     assert_eq!(rob.crashes, 1, "exactly one crash is scheduled");
     assert_eq!(rob.cold_starts, 0, "recovery must restore from checkpoint + WAL");
     assert!(rob.checkpoints_written >= 2);

@@ -64,7 +64,7 @@ type CliResult<T> = std::result::Result<T, CliError>;
 use acqp_sensornet::{
     run_simulation_adaptive, run_simulation_crashy, run_simulation_faulty, run_simulation_mode,
     sim::fleet_from_trace, AdaptiveConfig, Basestation, CrashConfig, EnergyModel, FaultModel,
-    FaultReport, ReplanBudget, ScheduleEntry, ServicePolicy,
+    FaultReport, ReplanBudget, ScheduleEntry, ServiceOptions, ServicePolicy,
 };
 use acqp_serve::{independent_schedule_energy, serve_schedule, ServeConfig};
 use args::Args;
@@ -1035,7 +1035,7 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
         return Err(invalid(
             "exec",
             "vectorized",
-            "the vectorized service covers only the lossless loop \
+            "the vectorized service runs only at loss 0 without crashes \
              (drop the fault and crash flags)",
         ));
     }
@@ -1085,8 +1085,9 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
     }
 
     let rec = recorder_from(args)?;
-    // An inactive crash config must stay `Default` (its nonzero
-    // checkpoint cadence would otherwise force the robust path).
+    // An inactive crash config must stay `Default`: its nonzero
+    // checkpoint cadence would otherwise count as active, which rejects
+    // vectorized execution.
     let crash = if crashy {
         CrashConfig { checkpoint_dir, checkpoint_every, crash_epochs, crash_rate }
     } else {
@@ -1096,14 +1097,16 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
         alpha,
         candidate_splits: candidates,
         drift: DriftConfig::default(),
-        faults: faults.clone(),
-        crash,
-        policy: ServicePolicy {
-            epoch_cost_budget: epoch_budget,
-            readmit_on_drift: robust,
-            ..ServicePolicy::default()
+        options: ServiceOptions {
+            faults: faults.clone(),
+            crash,
+            policy: ServicePolicy {
+                epoch_cost_budget: epoch_budget,
+                readmit_on_drift: robust,
+                ..ServicePolicy::default()
+            },
+            collect_rows: false,
         },
-        collect_rows: false,
     };
     let entries: Vec<ScheduleEntry> = schedule.iter().map(|(_, e)| e.clone()).collect();
     let rep = serve_schedule(
@@ -1179,7 +1182,7 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
             None => "no results".to_string(),
         };
         // The status suffix appears only for degraded outcomes, so a
-        // lossless run's per-query lines are byte-identical to before.
+        // loss-0 run's per-query lines carry none.
         let status = match q.status {
             QueryStatus::Complete => String::new(),
             other => format!(", {}", other.label()),
@@ -1196,7 +1199,7 @@ fn cmd_serve(args: &Args) -> CliResult<()> {
         );
     }
     // Robustness summaries print only when their feature is active, so
-    // a default serve run stays byte-identical to the lossless loop.
+    // passing fault flags at zero rates prints exactly the default run.
     if let Some(rob) = rep.service.robustness.as_ref() {
         if !faults.is_lossless() {
             println!(

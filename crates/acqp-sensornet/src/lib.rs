@@ -30,8 +30,10 @@
 //!   charged to the energy model (`recovery.*` taxonomy).
 //! * [`service`] — the multi-query service loop: a schedule of
 //!   concurrent queries over one fleet with per-epoch acquisition
-//!   merging and a pluggable planning policy (`serve.*` taxonomy,
-//!   `DESIGN.md` §14; the policy layer lives in `acqp-serve`).
+//!   merging and a pluggable planning policy, run by one epoch loop
+//!   whose options add faults, crash recovery, admission control and
+//!   deadlines (`serve.*` taxonomy, `DESIGN.md` §14; the policy layer
+//!   lives in `acqp-serve`).
 
 #![warn(missing_docs)]
 // Determinism tests assert bitwise-equal floats on purpose; the
@@ -54,8 +56,8 @@ pub use interp::execute_wire;
 pub use mote::Mote;
 pub use recovery::{CrashConfig, CrashReport};
 pub use service::{
-    run_service, run_service_with, AdmittedPlan, QueryOutcome, ScheduleEntry, ServePlanner,
-    ServePolicyState, ServeRobustReport, ServiceOptions, ServicePolicy, ServiceReport,
+    run_service_with, AdmittedPlan, QueryOutcome, ScheduleEntry, ServePlanner, ServePolicyState,
+    ServeRobustReport, ServiceOptions, ServicePolicy, ServiceReport,
 };
 pub use sim::{
     result_packet_bytes, run_simulation, run_simulation_adaptive, run_simulation_crashy,

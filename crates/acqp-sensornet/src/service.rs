@@ -1,6 +1,6 @@
 //! The multi-query basestation service loop (`DESIGN.md` §14).
 //!
-//! [`run_service`] admits a *schedule* of queries over one fleet and
+//! [`run_service_with`] admits a *schedule* of queries over one fleet and
 //! runs them concurrently, merging their acquisition demands per epoch:
 //! within one `(epoch, mote)` slot the first query to demand an
 //! attribute pays for the sensor read and every later live query is
@@ -13,12 +13,16 @@
 //! Determinism: queries are admitted in schedule order, executed in
 //! admission order within every slot, and motes are visited in index
 //! order — the *arbitration order* is a pure function of the schedule,
-//! so fixed seeds reproduce runs bit-for-bit. A service run with a
-//! single scheduled query performs exactly the `f64` ledger additions
-//! of [`crate::sim::run_simulation_mode`] per accumulator, in the same
+//! so fixed seeds reproduce runs bit-for-bit. One epoch loop serves
+//! every schedule: faults, crashes, admission policy and deadlines are
+//! options of that loop, and at their defaults every packet gets through
+//! on its first attempt. A loss-0 run with a single scheduled query then
+//! performs exactly the `f64` ledger additions of
+//! [`crate::sim::run_simulation_mode`] per accumulator, in the same
 //! order, and is therefore bitwise identical to it (pinned by
-//! `tests/serve_equivalence.rs`). Latency is measured in **epochs**,
-//! never wall-clock time.
+//! `tests/serve_equivalence.rs`; multi-query loss-0 runs are pinned by
+//! `tests/serve_golden.rs`). Latency is measured in **epochs**, never
+//! wall-clock time.
 
 use std::collections::BTreeMap;
 
@@ -85,7 +89,7 @@ pub struct AdmittedPlan {
     pub subproblems: u64,
 }
 
-/// The planning policy behind [`run_service`]: the engine calls
+/// The planning policy behind [`run_service_with`]: the engine calls
 /// [`ServePlanner::plan_admitted`] once per admission and
 /// [`ServePlanner::query_completed`] once per completion (handing over
 /// the query's observed per-predicate counts so the policy can track
@@ -155,9 +159,9 @@ pub struct QueryOutcome {
     /// Cached plans invalidated when this query's completion stats
     /// were absorbed.
     pub invalidated: u64,
-    /// Typed terminal outcome. The lossless loop only ever produces
-    /// [`QueryStatus::Complete`] (or `Shed` for entries scheduled
-    /// beyond the run).
+    /// Typed terminal outcome. A loss-0 run without policy or deadlines
+    /// only ever produces [`QueryStatus::Complete`] (or `Shed` for
+    /// entries scheduled beyond the run).
     pub status: QueryStatus,
     /// Epoch admission control dropped the query, if it was shed by
     /// policy rather than scheduled beyond the run.
@@ -186,7 +190,9 @@ pub struct ServiceReport {
     /// Sensor reads the live queries demanded (before merging) — the
     /// gap to `performed_acquisitions` is the sharing win.
     pub demanded_acquisitions: u64,
-    /// Fault/crash/policy accounting — `None` on the lossless path.
+    /// Fault/crash/policy accounting. The service loop always fills it
+    /// in; on a loss-0 run without crashes or policy only
+    /// `delivered_results` is nonzero.
     pub robustness: Option<ServeRobustReport>,
 }
 
@@ -250,9 +256,9 @@ pub struct ServeRobustReport {
     pub recovery_rediss_uj: f64,
 }
 
-/// Admission-control and degradation policy for the robust service
-/// loop. The default is a no-op: admit everything immediately, never
-/// shed, never re-admit — required for loss-0 transparency.
+/// Admission-control and degradation policy for the service loop. The
+/// default is a no-op: admit everything immediately, never shed, never
+/// re-admit — required for loss-0 transparency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServicePolicy {
     /// Per-epoch budget on the summed expected per-tuple cost of live
@@ -284,12 +290,6 @@ impl Default for ServicePolicy {
 }
 
 impl ServicePolicy {
-    /// Whether the policy can never alter a run (the transparency
-    /// precondition).
-    pub fn is_noop(&self) -> bool {
-        self.epoch_cost_budget.is_none() && !self.readmit_on_drift
-    }
-
     /// Validates the knobs: a budget must be a positive finite µJ
     /// figure and the fair share at least one.
     pub fn validate(&self) -> Result<()> {
@@ -314,9 +314,9 @@ impl ServicePolicy {
 }
 
 /// Everything optional about a service run: fault injection, crash
-/// recovery, admission policy, row collection. [`Default`] is exactly
-/// the lossless loop — [`run_service_with`] routes a default options
-/// struct through the identical code path as [`run_service`].
+/// recovery, admission policy, row collection. Every value runs through
+/// the same epoch loop; [`Default`] is a loss-0 run with no crashes and
+/// a no-op policy, whose output is pinned by `tests/serve_golden.rs`.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
     /// Seeded fault model ([`FaultModel::none`] = lossless).
@@ -325,10 +325,9 @@ pub struct ServiceOptions {
     pub crash: CrashConfig,
     /// Admission-control policy (no-op by default).
     pub policy: ServicePolicy,
-    /// Collect delivered `(epoch, mote)` rows per query. Forces the
-    /// robust path even when everything else is default — the lever the
-    /// transparency proptests use to pin the robust loop at loss 0
-    /// against the lossless loop bitwise.
+    /// Collect delivered `(epoch, mote)` rows per query into
+    /// [`QueryOutcome::rows`]. Changes no accounting; the deadline
+    /// prefix tests compare these rows across runs.
     pub collect_rows: bool,
 }
 
@@ -340,18 +339,6 @@ impl Default for ServiceOptions {
             policy: ServicePolicy::default(),
             collect_rows: false,
         }
-    }
-}
-
-impl ServiceOptions {
-    /// Whether these options cannot change anything about `schedule`'s
-    /// lossless execution, so the run may take the lossless fast path.
-    pub fn is_transparent(&self, schedule: &[ScheduleEntry]) -> bool {
-        self.faults.is_lossless()
-            && !self.crash.is_active()
-            && self.policy.is_noop()
-            && !self.collect_rows
-            && schedule.iter().all(|s| s.deadline.is_none())
     }
 }
 
@@ -384,14 +371,13 @@ struct LiveQuery {
     subproblems: u64,
     /// Per-mote batch precomputation (vectorized mode only).
     pre: Vec<MotePre>,
-    /// Query signature (robust path; unused by the lossless loop).
+    /// Query signature (the fairness key and the WAL admission record).
     sig: u64,
     /// Absolute deadline epoch (scheduled admission + deadline).
     deadline_at: Option<usize>,
     /// Epoch `pre`'s arrays start at (re-set on drift readmission).
     pre_base: usize,
-    /// Which motes physically hold the current plan. Empty on the
-    /// lossless path, where dissemination cannot fail.
+    /// Which motes physically hold the current plan.
     mote_has: Vec<bool>,
     /// The basestation's belief about `mote_has` — process memory,
     /// wiped to all-false by a crash (which is what forces the
@@ -404,7 +390,8 @@ struct LiveQuery {
     /// Mote-epochs this query could not execute (offline mote or plan
     /// not yet disseminated).
     missed_epochs: usize,
-    /// Delivered `(epoch, mote)` rows (robust path, opt-in).
+    /// Delivered `(epoch, mote)` rows (opt-in, see
+    /// [`ServiceOptions::collect_rows`]).
     rows: Vec<(usize, u16)>,
 }
 
@@ -452,7 +439,7 @@ impl ServeMetrics {
 }
 
 /// Pre-hoisted `verify.*` instruments (see `DESIGN.md` §8): the static
-/// plan-verification gates both service loops run in front of every
+/// plan-verification gates the service loop runs in front of every
 /// dissemination and every checkpoint restore.
 struct VerifyMetrics {
     checked: Counter,
@@ -503,384 +490,14 @@ impl VerifyMetrics {
     }
 }
 
-/// Runs `schedule` as a concurrent multi-query service over the fleet,
-/// losslessly, for `epochs` epochs. Plans come from `planner`; every
-/// admission is disseminated to the whole fleet (radio energy charged
-/// like the single-query engine's), every live query executes once per
-/// `(epoch, mote)` slot with acquisitions merged across queries, and
-/// every passing tuple transmits that query's result packet.
-///
-/// Returns one [`QueryOutcome`] per schedule entry, in schedule order.
-#[allow(clippy::too_many_arguments)]
-pub fn run_service(
-    schema: &Schema,
-    schedule: &[ScheduleEntry],
-    planner: &mut dyn ServePlanner,
-    motes: &mut [Mote],
-    model: &EnergyModel,
-    epochs: usize,
-    mode: ExecMode,
-    rec: &Recorder,
-) -> Result<ServiceReport> {
-    let span = rec.span("serve.run");
-    let flight = rec.flight().clone();
-    let start_seq = flight.emit(
-        0,
-        0,
-        "serve.start",
-        &[
-            ("queries", schedule.len().into()),
-            ("motes", motes.len().into()),
-            ("epochs", epochs.into()),
-        ],
-    );
-    let m = ServeMetrics::new(rec);
-    let vm = VerifyMetrics::new(rec);
-
-    // Outcomes in schedule order; entries admitted beyond the run keep
-    // their zeroed row with `admitted: false`.
-    let mut outcomes: Vec<QueryOutcome> = schedule
-        .iter()
-        .map(|s| QueryOutcome {
-            admitted: false,
-            admit: s.admit,
-            completed_at: s.admit,
-            tuples: 0,
-            results: 0,
-            all_correct: true,
-            cache_hit: false,
-            subproblems: 0,
-            latency_epochs: None,
-            invalidated: 0,
-            status: QueryStatus::Shed,
-            shed_at: None,
-            rows: Vec::new(),
-        })
-        .collect();
-
-    // Admission index: schedule entries by admission epoch, preserving
-    // schedule order within an epoch (the arbitration order).
-    let mut admissions_at: Vec<Vec<usize>> = vec![Vec::new(); epochs];
-    for (i, s) in schedule.iter().enumerate() {
-        if s.admit < epochs {
-            admissions_at[s.admit].push(i);
-        }
-    }
-
-    let mut live: Vec<LiveQuery> = Vec::new();
-    let mut scratch = SharedScratch::new(schema.len());
-    let mut slot_outs: Vec<ExecOutcome> = Vec::new();
-    let mut bs_tx_uj = 0.0;
-    let mut demanded = 0u64;
-    let mut performed = 0u64;
-    let mut exec = BatchExecutor::new();
-    let mut out = BatchOutcome::default();
-
-    for (e, admitted_now) in admissions_at.iter().enumerate() {
-        // 1. Admissions, in schedule order.
-        for &idx in admitted_now {
-            let entry = &schedule[idx];
-            let mut plan = planner.plan_admitted(&entry.query, e)?;
-            vm.admit(&mut plan, &entry.query, schema)?;
-            m.admitted.incr(1);
-            m.subproblems.incr(plan.subproblems);
-            if plan.cache_hit {
-                m.cache_hits.incr(1);
-            } else {
-                m.cache_misses.incr(1);
-            }
-            // Dissemination: every mote receives the plan, exactly like
-            // the single-query engine's lossless round.
-            for mote in motes.iter_mut() {
-                m.radio.incr(1);
-                mote.receive(plan.planned.wire.len(), model);
-                bs_tx_uj += (plan.planned.wire.len()) as f64 * model.radio_tx_uj_per_byte;
-            }
-            flight.emit(
-                e as u64,
-                start_seq,
-                "serve.admit",
-                &[
-                    ("query", idx.into()),
-                    ("cache_hit", plan.cache_hit.into()),
-                    ("subproblems", plan.subproblems.into()),
-                    ("wire_bytes", plan.planned.wire.len().into()),
-                ],
-            );
-            let mut pred_of: Vec<Option<usize>> = vec![None; schema.len()];
-            for (j, &a) in entry.query.attrs().iter().enumerate() {
-                pred_of[a] = Some(j);
-            }
-            let end = (entry.admit + entry.window.max(1)).min(epochs);
-            let pre = match mode {
-                ExecMode::Scalar => Vec::new(),
-                ExecMode::Vectorized => precompute_batches(
-                    &mut exec,
-                    &mut out,
-                    &plan.planned,
-                    &entry.query,
-                    schema,
-                    motes,
-                    entry.admit,
-                    end,
-                ),
-            };
-            outcomes[idx].admitted = true;
-            live.push(LiveQuery {
-                idx,
-                planned: plan.planned,
-                admit: entry.admit,
-                end,
-                uplink_bytes: result_packet_bytes(schema, &entry.query),
-                pred_of,
-                pend: vec![(0, 0); entry.query.len()],
-                tuples: 0,
-                results: 0,
-                all_correct: true,
-                first_result: None,
-                cache_hit: plan.cache_hit,
-                subproblems: plan.subproblems,
-                pre,
-                sig: 0,
-                deadline_at: None,
-                pre_base: entry.admit,
-                mote_has: Vec::new(),
-                bs_known: Vec::new(),
-                lost_results: 0,
-                aborted_tuples: 0,
-                missed_epochs: 0,
-                rows: Vec::new(),
-            });
-        }
-
-        // 2. One merged execution pass per mote, in index order. Phase
-        // A runs every live query against the shared source (charging
-        // sensing + board energy in first-demand order); phase B does
-        // per-query accounting and result uplinks once the metered
-        // source has released the mote.
-        for (mi, mote) in motes.iter_mut().enumerate() {
-            if live.is_empty() || e >= mote.epochs() {
-                continue;
-            }
-            scratch.reset();
-            match mode {
-                ExecMode::Scalar => {
-                    slot_outs.clear();
-                    {
-                        // One metered source per slot: its board
-                        // power-up state spans every query in the slot,
-                        // so a board powers up at most once per epoch
-                        // per mote no matter how many queries read it.
-                        let mut src = mote.epoch_source(e, schema, model);
-                        for q in live.iter() {
-                            let mut shared = SharedSource::new(&mut src, &mut scratch);
-                            // Admission verified the plan, so the
-                            // checked-free interpreter path is sound.
-                            let o = execute_wire_verified(
-                                &q.planned.wire,
-                                &schedule[q.idx].query,
-                                schema,
-                                &mut shared,
-                            );
-                            slot_outs.push(o);
-                        }
-                    }
-                    for (q, o) in live.iter_mut().zip(&slot_outs) {
-                        account_slot(
-                            q,
-                            &schedule[q.idx].query,
-                            mote,
-                            model,
-                            e,
-                            o.verdict,
-                            &o.acquired,
-                            &m,
-                        );
-                        demanded += o.acquired.len() as u64;
-                    }
-                }
-                ExecMode::Vectorized => {
-                    // Merge the precomputed per-query chains into one
-                    // deduplicated chain in first-demand order (the
-                    // exact order the scalar shared source acquires
-                    // in), then charge it once.
-                    let mut seen = 0u64;
-                    let mut merged: Vec<AttrId> = Vec::new();
-                    for q in live.iter_mut() {
-                        let off = e - q.admit;
-                        let (verdict, chain) = {
-                            let pre = &q.pre[mi];
-                            (pre.verdicts[off], pre.chains[off].clone())
-                        };
-                        for &a in &chain {
-                            let bit = 1u64 << a;
-                            if seen & bit == 0 {
-                                seen |= bit;
-                                merged.push(a);
-                            }
-                        }
-                        account_slot(
-                            q,
-                            &schedule[q.idx].query,
-                            mote,
-                            model,
-                            e,
-                            verdict,
-                            &chain,
-                            &m,
-                        );
-                        demanded += chain.len() as u64;
-                    }
-                    mote.charge_epoch(&merged, schema, model);
-                    m.performed.incr(merged.len() as u64);
-                    performed += merged.len() as u64;
-                }
-            }
-            if mode == ExecMode::Scalar {
-                m.performed.incr(scratch.acquired().len() as u64);
-                performed += scratch.acquired().len() as u64;
-            }
-        }
-
-        // 3. Completions: queries whose last live epoch was `e`.
-        let (done, rest): (Vec<LiveQuery>, Vec<LiveQuery>) =
-            live.into_iter().partition(|q| q.end == e + 1);
-        live = rest;
-        for q in done {
-            complete(q, e + 1, schedule, planner, &mut outcomes, &m, &flight, start_seq);
-        }
-    }
-    // `end` is clamped to `epochs`, so nothing should still be live
-    // here; drain defensively all the same.
-    for q in std::mem::take(&mut live) {
-        complete(q, epochs, schedule, planner, &mut outcomes, &m, &flight, start_seq);
-    }
-
-    rec.gauge("serve.stats_epoch", planner.stats_epoch() as f64);
-    let per_mote: Vec<EnergyLedger> = motes.iter().map(|mt| *mt.ledger()).collect();
-    if rec.enabled() {
-        for (mt, l) in motes.iter().zip(&per_mote) {
-            let id = mt.id();
-            rec.gauge(&format!("sensornet.mote{id}.sensing_uj"), l.sensing_uj);
-            rec.gauge(&format!("sensornet.mote{id}.radio_uj"), l.radio_tx_uj + l.radio_rx_uj);
-            rec.gauge(&format!("sensornet.mote{id}.total_uj"), l.total_uj());
-        }
-    }
-    let mut network = EnergyLedger::default();
-    for l in &per_mote {
-        network.absorb(l);
-    }
-    let report = ServiceReport {
-        epochs,
-        queries: outcomes,
-        network,
-        per_mote,
-        bs_tx_uj,
-        performed_acquisitions: performed,
-        demanded_acquisitions: demanded,
-        robustness: None,
-    };
-    flight.emit(
-        epochs as u64,
-        start_seq,
-        "serve.end",
-        &[
-            ("results", report.results().into()),
-            ("all_correct", report.all_correct().into()),
-            ("performed", performed.into()),
-            ("demanded", demanded.into()),
-        ],
-    );
-    drop(span);
-    Ok(report)
-}
-
-/// Per-query slot accounting shared by both exec modes: tuple/result
-/// counters, drift observations over the query's own acquisition
-/// chain, ground-truth verification and the result uplink.
-#[allow(clippy::too_many_arguments)]
-fn account_slot(
-    q: &mut LiveQuery,
-    query: &Query,
-    mote: &mut Mote,
-    model: &EnergyModel,
-    e: usize,
-    verdict: bool,
-    chain: &[AttrId],
-    m: &ServeMetrics,
-) {
-    q.tuples += 1;
-    m.tuples.incr(1);
-    m.demanded.incr(chain.len() as u64);
-    // Per-query drift observations use the query's own acquisition
-    // chain — identical to what an independent run would observe.
-    for &a in chain {
-        if let Some(j) = q.pred_of[a] {
-            q.pend[j].0 += 1;
-            q.pend[j].1 += u64::from(query.pred(j).eval(mote.peek(e, a)));
-        }
-    }
-    let truth = query.eval_with(|a| mote.peek(e, a));
-    q.all_correct &= verdict == truth;
-    if verdict {
-        q.results += 1;
-        m.results.incr(1);
-        q.first_result.get_or_insert(e);
-        mote.transmit(q.uplink_bytes, model);
-        m.radio.incr(1);
-    }
-}
-
-/// Finalizes one completed query: hands its drift counts to the
-/// planner, records its outcome row, and emits the completion event.
-#[allow(clippy::too_many_arguments)]
-fn complete(
-    q: LiveQuery,
-    at: usize,
-    schedule: &[ScheduleEntry],
-    planner: &mut dyn ServePlanner,
-    outcomes: &mut [QueryOutcome],
-    m: &ServeMetrics,
-    flight: &FlightRecorder,
-    start_seq: u64,
-) {
-    let invalidated = planner.query_completed(&schedule[q.idx].query, at, &q.pend);
-    m.completed.incr(1);
-    m.invalidations.incr(invalidated);
-    let latency = q.first_result.map(|f| (f - q.admit) as u64 + 1);
-    if let Some(l) = latency {
-        m.latency.observe(l);
-    }
-    let lat_field = latency.map(i64::try_from).and_then(std::result::Result::ok).unwrap_or(-1);
-    flight.emit(
-        at as u64,
-        start_seq,
-        "serve.complete",
-        &[
-            ("query", q.idx.into()),
-            ("results", q.results.into()),
-            ("latency", lat_field.into()),
-            ("invalidated", invalidated.into()),
-        ],
-    );
-    let o = &mut outcomes[q.idx];
-    o.completed_at = at;
-    o.tuples = q.tuples;
-    o.results = q.results;
-    o.all_correct = q.all_correct;
-    o.cache_hit = q.cache_hit;
-    o.subproblems = q.subproblems;
-    o.latency_epochs = latency;
-    o.invalidated = invalidated;
-    o.status = QueryStatus::Complete;
-}
-
-/// Runs `schedule` as a service with explicit [`ServiceOptions`]:
-/// seeded faults, crash recovery, admission control, deadlines.
-/// Transparent options (the default) take the exact [`run_service`]
-/// code path — a `--loss-rate 0` run without crashes or policy is
-/// bitwise identical to the lossless service. Anything else runs the
-/// fault-tolerant loop, which:
+/// Runs `schedule` as a concurrent multi-query service over the fleet
+/// for `epochs` epochs, under explicit [`ServiceOptions`]: seeded
+/// faults, crash recovery, admission control, deadlines. Plans come
+/// from `planner`; every admission is disseminated to the whole fleet
+/// (radio energy charged like the single-query engine's), every live
+/// query executes once per `(epoch, mote)` slot with acquisitions merged
+/// across queries, and every passing tuple transmits that query's
+/// result packet. The one epoch loop behind it:
 ///
 /// - pushes every dissemination and result packet through the bounded
 ///   retry + backoff of [`attempt_packet`], charging each attempt;
@@ -895,6 +512,11 @@ fn complete(
 ///   serve state on the checkpoint cadence, so an injected basestation
 ///   crash recovers the plan cache, stats epoch and live-query
 ///   progress instead of cold-starting.
+///
+/// With default options every packet is delivered on its first attempt
+/// and nothing is shed, so each slot performs exactly the lossless
+/// `f64` ledger additions. Returns one [`QueryOutcome`] per schedule
+/// entry, in schedule order.
 ///
 /// The vectorized executor precomputes verdicts from admission-time
 /// plans, which is incompatible with lossy sensing and crash-induced
@@ -913,9 +535,6 @@ pub fn run_service_with(
     opts: &ServiceOptions,
 ) -> Result<ServiceReport> {
     opts.policy.validate()?;
-    if opts.is_transparent(schedule) {
-        return run_service(schema, schedule, planner, motes, model, epochs, mode, rec);
-    }
     if mode == ExecMode::Vectorized && (!opts.faults.is_lossless() || opts.crash.is_active()) {
         return Err(Error::InvalidFlag {
             flag: "exec".into(),
@@ -996,10 +615,9 @@ pub fn run_service_with(
     Ok(report)
 }
 
-/// Robust-path instruments (`serve.shed.*`, `serve.degraded.*`,
-/// `serve.readmit.*`), registered only when the robust loop actually
-/// runs so a lossless run's metrics snapshot stays byte-identical to
-/// the pre-fault service.
+/// Admission-policy and degradation instruments (`serve.shed.*`,
+/// `serve.degraded.*`, `serve.readmit.*`). They read zero on a loss-0
+/// run without policy or deadlines.
 struct RobustMetrics {
     /// `serve.shed.queries` — queries dropped by admission control.
     shed: Counter,
@@ -1056,8 +674,7 @@ struct Pending {
     plan: Option<AdmittedPlan>,
 }
 
-/// The fault-tolerant service loop. One instance per
-/// [`run_service_with`] call on the robust path.
+/// The service loop. One instance per [`run_service_with`] call.
 struct RobustEngine<'a> {
     schema: &'a Schema,
     schedule: &'a [ScheduleEntry],
@@ -1455,9 +1072,12 @@ impl RobustEngine<'_> {
         });
     }
 
-    /// One merged execution pass per mote, in index order — the
-    /// lossless slot discipline plus dropouts, sensing retries and
-    /// result-uplink retries.
+    /// One merged execution pass per mote, in index order. Phase A runs
+    /// every live query whose plan the mote holds against one shared
+    /// source (charging sensing + board energy in first-demand order);
+    /// phase B does per-query accounting and result uplinks once the
+    /// metered source has released the mote. Offline motes and motes
+    /// still missing a plan count as missed epochs.
     fn exec_motes(&mut self, e: usize) {
         if self.live.is_empty() {
             return;
@@ -1481,18 +1101,30 @@ impl RobustEngine<'_> {
             start_seq,
             ..
         } = self;
-        let faults = &opts.faults;
-        let collect_rows = opts.collect_rows;
+        let mut slot = SlotCtx {
+            model,
+            m,
+            rm,
+            faults: &opts.faults,
+            fstats,
+            flight,
+            start_seq: *start_seq,
+            collect_rows: opts.collect_rows,
+            rob,
+            tuples: 0,
+            results: 0,
+            radio: 0,
+            demanded: 0,
+        };
         let mut slot_outs: Vec<ExecOutcome> = Vec::new();
-        let mut execd: Vec<usize> = Vec::new();
         for (mi, mote) in motes.iter_mut().enumerate() {
             if e >= mote.epochs() {
                 continue;
             }
             let id = mote.id();
-            if !faults.online(id, e) {
-                fstats.offline_epochs.incr(1);
-                rob.offline_epochs += 1;
+            if !slot.faults.online(id, e) {
+                slot.fstats.offline_epochs.incr(1);
+                slot.rob.offline_epochs += 1;
                 for q in live.iter_mut() {
                     q.missed_epochs += 1;
                 }
@@ -1502,125 +1134,100 @@ impl RobustEngine<'_> {
             match mode {
                 ExecMode::Scalar => {
                     slot_outs.clear();
-                    execd.clear();
                     let aborted_mask = {
+                        // One metered source per slot: its board
+                        // power-up state spans every query in the slot,
+                        // so a board powers up at most once per epoch
+                        // per mote no matter how many queries read it.
                         let mut src = FaultySource::new(
                             mote.epoch_source(e, schema, model),
-                            faults,
-                            fstats,
+                            slot.faults,
+                            slot.fstats,
                             id,
                             e,
                         );
-                        for (qi, q) in live.iter().enumerate() {
+                        for q in live.iter_mut() {
                             if !q.mote_has[mi] {
+                                q.missed_epochs += 1;
                                 continue;
                             }
-                            execd.push(qi);
                             let mut shared = SharedSource::new(&mut src, scratch);
                             // Every plan that reaches a live query was
                             // verified at admission (or at checkpoint
                             // restore), so the checked-free interpreter
                             // path is sound.
-                            let o = execute_wire_verified(
+                            slot_outs.push(execute_wire_verified(
                                 &q.planned.wire,
                                 &schedule[q.idx].query,
                                 schema,
                                 &mut shared,
-                            );
-                            slot_outs.push(o);
+                            ));
                         }
                         src.aborted_mask()
                     };
-                    for (&qi, o) in execd.iter().zip(&slot_outs) {
-                        let q = &mut live[qi];
-                        account_slot_robust(
-                            q,
-                            &schedule[q.idx].query,
-                            mote,
-                            model,
-                            e,
-                            o.verdict,
-                            &o.acquired,
-                            aborted_mask,
-                            m,
-                            rm,
-                            faults,
-                            fstats,
-                            flight,
-                            *start_seq,
-                            collect_rows,
-                            rob,
-                        );
-                        *demanded += o.acquired.len() as u64;
+                    let ran = live.iter_mut().filter(|q| q.mote_has[mi]);
+                    for (q, o) in ran.zip(&slot_outs) {
+                        let query = &schedule[q.idx].query;
+                        slot.account(q, query, mote, e, o.verdict, &o.acquired, aborted_mask);
                     }
-                    for q in live.iter_mut() {
-                        if !q.mote_has[mi] {
-                            q.missed_epochs += 1;
-                        }
-                    }
-                    m.performed.incr(scratch.acquired().len() as u64);
+                    slot.m.performed.incr(scratch.acquired().len() as u64);
                     *performed += scratch.acquired().len() as u64;
                 }
                 ExecMode::Vectorized => {
                     // Lossless faults are a precondition for this mode,
                     // so every mote holds every plan and nothing can
-                    // abort — the merge is the lossless loop's.
+                    // abort. Merge the precomputed per-query chains into
+                    // one deduplicated chain in first-demand order (the
+                    // exact order the scalar shared source acquires
+                    // in), then charge it once.
                     let mut seen = 0u64;
                     let mut merged: Vec<AttrId> = Vec::new();
                     for q in live.iter_mut() {
+                        // Moved out for the call so the chain is
+                        // borrowed, not cloned, while `q` is accounted.
+                        let pre = std::mem::take(&mut q.pre);
                         let off = e - q.pre_base;
-                        let (verdict, chain) = {
-                            let pre = &q.pre[mi];
-                            (pre.verdicts[off], pre.chains[off].clone())
-                        };
-                        for &a in &chain {
+                        let chain = &pre[mi].chains[off];
+                        for &a in chain {
                             let bit = 1u64 << a;
                             if seen & bit == 0 {
                                 seen |= bit;
                                 merged.push(a);
                             }
                         }
-                        account_slot_robust(
-                            q,
-                            &schedule[q.idx].query,
-                            mote,
-                            model,
-                            e,
-                            verdict,
-                            &chain,
-                            0,
-                            m,
-                            rm,
-                            faults,
-                            fstats,
-                            flight,
-                            *start_seq,
-                            collect_rows,
-                            rob,
-                        );
-                        *demanded += chain.len() as u64;
+                        let query = &schedule[q.idx].query;
+                        slot.account(q, query, mote, e, pre[mi].verdicts[off], chain, 0);
+                        q.pre = pre;
                     }
                     mote.charge_epoch(&merged, schema, model);
-                    m.performed.incr(merged.len() as u64);
+                    slot.m.performed.incr(merged.len() as u64);
                     *performed += merged.len() as u64;
                 }
             }
         }
+        m.tuples.incr(slot.tuples);
+        m.results.incr(slot.results);
+        m.radio.incr(slot.radio);
+        m.demanded.incr(slot.demanded);
+        *demanded += slot.demanded;
     }
 
     /// Window-end and deadline terminations, then (when enabled) drift
     /// readmission of the surviving live queries.
     fn terminations(&mut self, e: usize) -> Result<()> {
+        let due = |q: &LiveQuery| q.end == e + 1 || q.deadline_at.is_some_and(|d| e + 1 >= d);
+        if !self.live.iter().any(due) {
+            return Ok(());
+        }
         let live = std::mem::take(&mut self.live);
         let mut rest = Vec::with_capacity(live.len());
         let mut invalidated_total = 0u64;
         for q in live {
-            let due_window = q.end == e + 1;
-            let due_deadline = q.deadline_at.is_some_and(|d| e + 1 >= d);
-            if !(due_window || due_deadline) {
+            if !due(&q) {
                 rest.push(q);
                 continue;
             }
+            let due_window = q.end == e + 1;
             let status = if due_window {
                 if q.is_degraded() {
                     QueryStatus::Partial
@@ -1908,69 +1515,87 @@ impl RobustEngine<'_> {
     }
 }
 
-/// The robust twin of [`account_slot`]: the same per-query accounting
-/// plus sensing-abort discards and the result-uplink retry loop. At a
-/// lossless fault model every branch reduces to the lossless path's
-/// exact `f64` operations.
-#[allow(clippy::too_many_arguments)]
-fn account_slot_robust(
-    q: &mut LiveQuery,
-    query: &Query,
-    mote: &mut Mote,
-    model: &EnergyModel,
-    e: usize,
-    verdict: bool,
-    chain: &[AttrId],
-    aborted_mask: u64,
-    m: &ServeMetrics,
-    rm: &RobustMetrics,
-    faults: &FaultModel,
-    fstats: &FaultStats,
-    flight: &FlightRecorder,
+/// What per-query slot accounting needs from the engine, split off its
+/// fleet and live-query borrows, plus the tallies one execution pass
+/// accumulates and `exec_motes` adds to the `serve.*` counters once.
+struct SlotCtx<'s> {
+    model: &'s EnergyModel,
+    m: &'s ServeMetrics,
+    rm: &'s RobustMetrics,
+    faults: &'s FaultModel,
+    fstats: &'s FaultStats,
+    flight: &'s FlightRecorder,
     start_seq: u64,
     collect_rows: bool,
-    rob: &mut ServeRobustReport,
-) {
-    q.tuples += 1;
-    m.tuples.incr(1);
-    m.demanded.incr(chain.len() as u64);
-    if aborted_mask != 0 {
-        let mask = chain.iter().fold(0u64, |acc, &a| acc | (1u64 << (a as u32).min(63)));
-        if mask & aborted_mask != 0 {
-            // A sensor this tuple's own chain touched could not be read
-            // within the attempt cap: discard the tuple. Queries that
-            // never demanded the failed sensor keep their epoch.
-            q.aborted_tuples += 1;
-            rm.aborted.incr(1);
-            rob.aborted_tuples += 1;
-            return;
-        }
-    }
-    for &a in chain {
-        if let Some(j) = q.pred_of[a] {
-            q.pend[j].0 += 1;
-            q.pend[j].1 += u64::from(query.pred(j).eval(mote.peek(e, a)));
-        }
-    }
-    let truth = query.eval_with(|a| mote.peek(e, a));
-    q.all_correct &= verdict == truth;
-    if verdict {
-        q.results += 1;
-        m.results.incr(1);
-        q.first_result.get_or_insert(e);
-        let d = attempt_packet(faults, FaultStream::Result, mote.id(), e, fstats);
-        emit_retry(flight, start_seq, e, "result", mote.id(), &d);
-        mote.transmit(d.attempts as usize * q.uplink_bytes, model);
-        m.radio.incr(d.attempts as u64);
-        if d.delivered {
-            rob.delivered_results += 1;
-            if collect_rows {
-                q.rows.push((e, mote.id()));
+    rob: &'s mut ServeRobustReport,
+    tuples: u64,
+    results: u64,
+    radio: u64,
+    demanded: u64,
+}
+
+impl SlotCtx<'_> {
+    /// Per-query slot accounting shared by both exec modes: tuple and
+    /// result counters, sensing-abort discards, drift observations over
+    /// the query's own acquisition chain, ground-truth verification and
+    /// the result uplink through the retry loop. At a lossless fault
+    /// model the uplink is delivered on its first attempt, so the
+    /// ledgers see exactly one result packet per passing tuple.
+    #[allow(clippy::too_many_arguments)]
+    fn account(
+        &mut self,
+        q: &mut LiveQuery,
+        query: &Query,
+        mote: &mut Mote,
+        e: usize,
+        verdict: bool,
+        chain: &[AttrId],
+        aborted_mask: u64,
+    ) {
+        q.tuples += 1;
+        self.tuples += 1;
+        self.demanded += chain.len() as u64;
+        if aborted_mask != 0 {
+            let mask = chain.iter().fold(0u64, |acc, &a| acc | (1u64 << (a as u32).min(63)));
+            if mask & aborted_mask != 0 {
+                // A sensor this tuple's own chain touched could not be
+                // read within the attempt cap: discard the tuple.
+                // Queries that never demanded the failed sensor keep
+                // their epoch.
+                q.aborted_tuples += 1;
+                self.rm.aborted.incr(1);
+                self.rob.aborted_tuples += 1;
+                return;
             }
-        } else {
-            q.lost_results += 1;
-            rm.lost_results.incr(1);
-            rob.lost_results += 1;
+        }
+        // Per-query drift observations use the query's own acquisition
+        // chain — identical to what an independent run would observe.
+        for &a in chain {
+            if let Some(j) = q.pred_of[a] {
+                q.pend[j].0 += 1;
+                q.pend[j].1 += u64::from(query.pred(j).eval(mote.peek(e, a)));
+            }
+        }
+        let truth = query.eval_with(|a| mote.peek(e, a));
+        q.all_correct &= verdict == truth;
+        if verdict {
+            q.results += 1;
+            self.results += 1;
+            q.first_result.get_or_insert(e);
+            let d = attempt_packet(self.faults, FaultStream::Result, mote.id(), e, self.fstats);
+            emit_retry(self.flight, self.start_seq, e, "result", mote.id(), &d);
+            mote.transmit(d.attempts as usize * q.uplink_bytes, self.model);
+            self.radio += u64::from(d.attempts);
+            if d.delivered {
+                self.rob.delivered_results += 1;
+                if self.collect_rows {
+                    q.rows.push((e, mote.id()));
+                }
+            } else {
+                q.lost_results += 1;
+                self.rm.lost_results.incr(1);
+                self.rob.lost_results += 1;
+            }
         }
     }
 }
@@ -2087,7 +1712,7 @@ mod tests {
                 PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
             let mut fleet = fleet_from_trace(&data, 3);
             let schedule = [ScheduleEntry::new(query.clone(), 0, epochs)];
-            let rep = run_service(
+            let rep = run_service_with(
                 &schema,
                 &schedule,
                 &mut planner,
@@ -2096,6 +1721,7 @@ mod tests {
                 epochs,
                 mode,
                 &Recorder::disabled(),
+                &ServiceOptions::default(),
             )
             .unwrap();
 
@@ -2128,7 +1754,7 @@ mod tests {
 
         let mut planner = PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
         let mut fleet = fleet_from_trace(&data, 2);
-        let shared = run_service(
+        let shared = run_service_with(
             &schema,
             &schedule,
             &mut planner,
@@ -2137,6 +1763,7 @@ mod tests {
             epochs,
             ExecMode::Scalar,
             &Recorder::disabled(),
+            &ServiceOptions::default(),
         )
         .unwrap();
         assert!(shared.performed_acquisitions < shared.demanded_acquisitions);
@@ -2183,7 +1810,7 @@ mod tests {
                 PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
             let mut fleet = fleet_from_trace(&data, 2);
             reports.push(
-                run_service(
+                run_service_with(
                     &schema,
                     &schedule,
                     &mut planner,
@@ -2192,6 +1819,7 @@ mod tests {
                     epochs,
                     mode,
                     &Recorder::disabled(),
+                    &ServiceOptions::default(),
                 )
                 .unwrap(),
             );
@@ -2225,7 +1853,7 @@ mod tests {
         ];
         let mut planner = PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.0 };
         let mut fleet = fleet_from_trace(&data, 2);
-        let rep = run_service(
+        let rep = run_service_with(
             &schema,
             &schedule,
             &mut planner,
@@ -2234,6 +1862,7 @@ mod tests {
             10,
             ExecMode::Scalar,
             &Recorder::disabled(),
+            &ServiceOptions::default(),
         )
         .unwrap();
         assert!(rep.queries[0].admitted);
@@ -2244,7 +1873,7 @@ mod tests {
 
         // A zero-epoch run admits nothing and spends nothing.
         let mut fleet = fleet_from_trace(&data, 2);
-        let rep = run_service(
+        let rep = run_service_with(
             &schema,
             &schedule,
             &mut planner,
@@ -2253,78 +1882,11 @@ mod tests {
             0,
             ExecMode::Scalar,
             &Recorder::disabled(),
+            &ServiceOptions::default(),
         )
         .unwrap();
         assert!(rep.queries.iter().all(|q| !q.admitted));
         assert_eq!(rep.network.total_uj(), 0.0);
-    }
-
-    #[test]
-    fn robust_path_at_loss_zero_is_bitwise_transparent() {
-        let (schema, data, query) = setup();
-        let q2 = Query::new(vec![Pred::in_range(0, 1, 1), Pred::in_range(2, 0, 0)]).unwrap();
-        let model = EnergyModel::mica_like();
-        let epochs = 32usize;
-        let schedule =
-            [ScheduleEntry::new(query.clone(), 0, epochs), ScheduleEntry::new(q2.clone(), 4, 20)];
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let mut planner =
-                PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-            let mut fleet = fleet_from_trace(&data, 3);
-            let lossless = run_service(
-                &schema,
-                &schedule,
-                &mut planner,
-                &mut fleet,
-                &model,
-                epochs,
-                mode,
-                &Recorder::disabled(),
-            )
-            .unwrap();
-            assert!(lossless.robustness.is_none());
-
-            // `collect_rows` forces the robust loop with everything
-            // else default: same fleet physics, bit for bit.
-            let opts = ServiceOptions { collect_rows: true, ..ServiceOptions::default() };
-            let mut planner =
-                PlainPlanner { bs: Basestation::new(schema.clone(), &data), alpha: 0.01 };
-            let mut fleet = fleet_from_trace(&data, 3);
-            let robust = run_service_with(
-                &schema,
-                &schedule,
-                &mut planner,
-                &mut fleet,
-                &model,
-                epochs,
-                mode,
-                &Recorder::disabled(),
-                &opts,
-            )
-            .unwrap();
-            let rob = robust.robustness.as_ref().expect("robust path reports robustness");
-            assert_eq!(rob.shed, 0);
-            assert_eq!(rob.lost_results, 0);
-            assert_eq!(rob.aborted_tuples, 0);
-
-            assert_eq!(robust.bs_tx_uj.to_bits(), lossless.bs_tx_uj.to_bits());
-            assert_eq!(robust.performed_acquisitions, lossless.performed_acquisitions);
-            assert_eq!(robust.demanded_acquisitions, lossless.demanded_acquisitions);
-            for (a, b) in robust.per_mote.iter().zip(&lossless.per_mote) {
-                assert_eq!(a.sensing_uj.to_bits(), b.sensing_uj.to_bits());
-                assert_eq!(a.board_uj.to_bits(), b.board_uj.to_bits());
-                assert_eq!(a.radio_tx_uj.to_bits(), b.radio_tx_uj.to_bits());
-                assert_eq!(a.radio_rx_uj.to_bits(), b.radio_rx_uj.to_bits());
-            }
-            for (a, b) in robust.queries.iter().zip(&lossless.queries) {
-                assert_eq!(a.tuples, b.tuples);
-                assert_eq!(a.results, b.results);
-                assert_eq!(a.latency_epochs, b.latency_epochs);
-                assert_eq!(a.completed_at, b.completed_at);
-                assert_eq!(a.status, QueryStatus::Complete);
-                assert_eq!(a.rows.len(), a.results, "every lossless result is a delivered row");
-            }
-        }
     }
 
     #[test]

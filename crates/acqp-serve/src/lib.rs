@@ -9,7 +9,7 @@
 //!   search entirely, and arms a per-signature [`DriftMonitor`] whose
 //!   firing bumps the stats epoch and invalidates every cached plan.
 //! * [`serve_schedule`] — the turn-key entry point: builds the fleet,
-//!   runs the schedule through [`run_service`], and distills a
+//!   runs the schedule through [`run_service_with`], and distills a
 //!   [`ServeReport`] with p50/p99 admission-to-result latency (in
 //!   epochs — the service never reads a wall clock) and amortized
 //!   sensing energy per query.
@@ -33,10 +33,7 @@ use acqp_sensornet::service::{
     AdmittedPlan, ScheduleEntry, ServePlanner, ServePolicyState, ServiceOptions, ServiceReport,
 };
 use acqp_sensornet::sim::{fleet_from_trace, run_simulation_mode};
-use acqp_sensornet::{
-    run_service_with, Basestation, CrashConfig, EnergyModel, FaultModel, PlannedQuery,
-    ServicePolicy,
-};
+use acqp_sensornet::{run_service_with, Basestation, EnergyModel, PlannedQuery};
 
 /// Planning knobs for a [`Service`].
 #[derive(Debug, Clone)]
@@ -47,16 +44,9 @@ pub struct ServeConfig {
     pub candidate_splits: Vec<usize>,
     /// Drift thresholds governing plan-cache invalidation.
     pub drift: DriftConfig,
-    /// Seeded fault model for the run ([`FaultModel::none`] keeps the
-    /// lossless fast path).
-    pub faults: FaultModel,
-    /// Crash/checkpoint configuration (inactive by default).
-    pub crash: CrashConfig,
-    /// Admission-control and degradation policy (no-op by default).
-    pub policy: ServicePolicy,
-    /// Collect delivered `(epoch, mote)` rows per query (forces the
-    /// robust engine path; used by transparency and prefix tests).
-    pub collect_rows: bool,
+    /// The run's faults, crash recovery, admission policy and row
+    /// collection, handed to [`run_service_with`] as they are.
+    pub options: ServiceOptions,
 }
 
 impl Default for ServeConfig {
@@ -65,10 +55,7 @@ impl Default for ServeConfig {
             alpha: 0.0,
             candidate_splits: vec![0, 1, 2, 4, 8],
             drift: DriftConfig::default(),
-            faults: FaultModel::none(),
-            crash: CrashConfig::default(),
-            policy: ServicePolicy::default(),
-            collect_rows: false,
+            options: ServiceOptions::default(),
         }
     }
 }
@@ -271,12 +258,7 @@ pub fn serve_schedule(
     cfg: ServeConfig,
     rec: &Recorder,
 ) -> Result<ServeReport> {
-    let opts = ServiceOptions {
-        faults: cfg.faults.clone(),
-        crash: cfg.crash.clone(),
-        policy: cfg.policy.clone(),
-        collect_rows: cfg.collect_rows,
-    };
+    let opts = cfg.options.clone();
     let mut service = Service::new(Basestation::new(schema.clone(), history), cfg)?;
     let mut fleet = fleet_from_trace(trace, motes);
     let report = run_service_with(

@@ -1,19 +1,16 @@
 //! Fault-tolerant serving properties (`DESIGN.md` §14.5).
 //!
-//! Four guarantees are pinned:
+//! Three guarantees are pinned (loss-0 transparency is pinned by
+//! `tests/serve_golden.rs` and `tests/serve_equivalence.rs`):
 //!
-//! 1. **Transparency** — the robust service engine at loss 0 with no
-//!    crashes and a no-op policy is *bitwise* identical to the lossless
-//!    loop, in both exec modes (`collect_rows` is the lever that forces
-//!    the robust path without changing semantics).
-//! 2. **Reproducibility** — a lossy serve run is a pure function of its
+//! 1. **Reproducibility** — a lossy serve run is a pure function of its
 //!    fault seed: same seed, same schedule ⇒ identical outcomes, rows
 //!    and energy to the bit.
-//! 3. **Deterministic degradation** — shed/timeout decisions replay
+//! 2. **Deterministic degradation** — shed/timeout decisions replay
 //!    identically, shedding respects schedule-order fairness, and a
 //!    deadline-degraded query's rows are a prefix of the complete
 //!    run's rows.
-//! 4. **Crash recovery** — a mid-schedule basestation crash recovers
+//! 3. **Crash recovery** — a mid-schedule basestation crash recovers
 //!    the plan cache and live queries from checkpoint + WAL without a
 //!    cold start, and the run still completes.
 
@@ -28,7 +25,8 @@ use acqp::core::prelude::*;
 use acqp::obs::{NoopSink, Recorder};
 use acqp::persist::ServeCheckpoint;
 use acqp::sensornet::{
-    CrashConfig, EnergyLedger, EnergyModel, FaultModel, ScheduleEntry, ServicePolicy,
+    CrashConfig, EnergyLedger, EnergyModel, FaultModel, ScheduleEntry, ServiceOptions,
+    ServicePolicy,
 };
 use acqp::serve::{serve_schedule, ServeConfig, ServeReport};
 use proptest::prelude::*;
@@ -104,63 +102,6 @@ fn small_instance() -> (Schema, Dataset, Query) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases(16), ..ProptestConfig::default() })]
 
-    /// Forcing the robust engine (`collect_rows`) at loss 0 with no
-    /// crashes and a no-op policy changes nothing: every count and
-    /// every ledger matches the lossless loop bitwise, in both modes.
-    #[test]
-    fn robust_engine_at_loss_zero_is_bitwise_transparent(inst in instance_strategy()) {
-        let schedule = staggered_schedule(&inst);
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let base = serve_instance(&inst, &schedule, mode, ServeConfig::default());
-            let robust = serve_instance(
-                &inst,
-                &schedule,
-                mode,
-                ServeConfig {
-                    faults: FaultModel { seed: 99, ..FaultModel::none() },
-                    collect_rows: true,
-                    ..ServeConfig::default()
-                },
-            );
-            prop_assert_eq!(base.service.tuples(), robust.service.tuples(), "{:?}", mode);
-            prop_assert_eq!(base.service.results(), robust.service.results(), "{:?}", mode);
-            prop_assert!(robust.service.all_correct());
-            assert_ledgers_bitwise(
-                &base.service.network,
-                &robust.service.network,
-                &format!("{mode:?}: network"),
-            );
-            for (i, (a, b)) in
-                base.service.per_mote.iter().zip(&robust.service.per_mote).enumerate()
-            {
-                assert_ledgers_bitwise(a, b, &format!("{mode:?}: mote {i}"));
-            }
-            prop_assert_eq!(
-                base.service.bs_tx_uj.to_bits(),
-                robust.service.bs_tx_uj.to_bits(),
-                "{:?}: dissemination energy", mode
-            );
-            for (i, (a, b)) in
-                base.service.queries.iter().zip(&robust.service.queries).enumerate()
-            {
-                prop_assert_eq!(a.tuples, b.tuples, "q{}: tuples", i);
-                prop_assert_eq!(a.results, b.results, "q{}: results", i);
-                prop_assert_eq!(a.cache_hit, b.cache_hit, "q{}: cache_hit", i);
-                prop_assert_eq!(a.completed_at, b.completed_at, "q{}: completed_at", i);
-                prop_assert_eq!(a.status, b.status, "q{}: status", i);
-                // Rows are collected on the robust path only, and every
-                // delivered result is accounted for at loss 0.
-                prop_assert_eq!(b.rows.len(), b.results, "q{}: rows", i);
-            }
-            // The robust report exists but records nothing degraded.
-            let rob = robust.service.robustness.as_ref().expect("robust path taken");
-            prop_assert_eq!(rob.lost_results, 0);
-            prop_assert_eq!(rob.aborted_tuples, 0);
-            prop_assert_eq!(rob.shed + rob.timed_out, 0);
-            prop_assert_eq!(rob.crashes, 0);
-        }
-    }
-
     /// A lossy serve run with sensing failures is bitwise reproducible
     /// for a fixed fault seed.
     #[test]
@@ -170,8 +111,11 @@ proptest! {
     ) {
         let schedule = staggered_schedule(&inst);
         let cfg = || ServeConfig {
-            faults: FaultModel { sensing_fail_rate: 0.05, ..FaultModel::lossy(seed, 0.25) },
-            collect_rows: true,
+            options: ServiceOptions {
+                faults: FaultModel { sensing_fail_rate: 0.05, ..FaultModel::lossy(seed, 0.25) },
+                collect_rows: true,
+                ..ServiceOptions::default()
+            },
             ..ServeConfig::default()
         };
         let a = serve_instance(&inst, &schedule, ExecMode::Scalar, cfg());
@@ -223,13 +167,16 @@ fn shed_and_timeout_decisions_replay_deterministically() {
             epochs,
             ExecMode::Scalar,
             ServeConfig {
-                policy: ServicePolicy {
-                    epoch_cost_budget: Some(150.0),
-                    max_queue_epochs: 4,
-                    fair_share: 1,
-                    ..ServicePolicy::default()
+                options: ServiceOptions {
+                    policy: ServicePolicy {
+                        epoch_cost_budget: Some(150.0),
+                        max_queue_epochs: 4,
+                        fair_share: 1,
+                        ..ServicePolicy::default()
+                    },
+                    collect_rows: true,
+                    ..ServiceOptions::default()
                 },
-                collect_rows: true,
                 ..ServeConfig::default()
             },
             &Recorder::disabled(),
@@ -301,7 +248,10 @@ fn deadline_partial_rows_are_a_prefix_of_the_complete_run() {
             &EnergyModel::mica_like(),
             epochs,
             ExecMode::Scalar,
-            ServeConfig { collect_rows: true, ..ServeConfig::default() },
+            ServeConfig {
+                options: ServiceOptions { collect_rows: true, ..ServiceOptions::default() },
+                ..ServeConfig::default()
+            },
             &Recorder::disabled(),
         )
         .unwrap()
@@ -344,11 +294,14 @@ fn mid_schedule_crash_recovers_from_checkpoint_without_cold_start() {
         epochs,
         ExecMode::Scalar,
         ServeConfig {
-            crash: CrashConfig {
-                checkpoint_dir: Some(dir.clone()),
-                checkpoint_every: 8,
-                crash_epochs: vec![20],
-                crash_rate: 0.0,
+            options: ServiceOptions {
+                crash: CrashConfig {
+                    checkpoint_dir: Some(dir.clone()),
+                    checkpoint_every: 8,
+                    crash_epochs: vec![20],
+                    crash_rate: 0.0,
+                },
+                ..ServiceOptions::default()
             },
             ..ServeConfig::default()
         },
@@ -380,11 +333,14 @@ fn mid_schedule_crash_recovers_from_checkpoint_without_cold_start() {
         epochs,
         ExecMode::Scalar,
         ServeConfig {
-            crash: CrashConfig {
-                checkpoint_dir: Some(dir2.clone()),
-                checkpoint_every: 8,
-                crash_epochs: vec![20],
-                crash_rate: 0.0,
+            options: ServiceOptions {
+                crash: CrashConfig {
+                    checkpoint_dir: Some(dir2.clone()),
+                    checkpoint_every: 8,
+                    crash_epochs: vec![20],
+                    crash_rate: 0.0,
+                },
+                ..ServiceOptions::default()
             },
             ..ServeConfig::default()
         },
@@ -423,7 +379,10 @@ fn corrupted_checkpoint_plan_is_demoted_to_replan() {
             &EnergyModel::mica_like(),
             epochs,
             ExecMode::Scalar,
-            ServeConfig { crash, ..ServeConfig::default() },
+            ServeConfig {
+                options: ServiceOptions { crash, ..ServiceOptions::default() },
+                ..ServeConfig::default()
+            },
             rec,
         )
         .unwrap()
